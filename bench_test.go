@@ -1,9 +1,9 @@
 // Benchmarks: one per table and figure of the paper's evaluation section.
 // Each benchmark regenerates its artifact through internal/experiments
 // (the same code cmd/argo-bench runs) so `go test -bench=.` exercises the
-// full reproduction; per-experiment paper-vs-measured notes live in
-// EXPERIMENTS.md. The Ablation* benchmarks quantify the design choices
-// DESIGN.md §7 calls out.
+// full reproduction. The Ablation* benchmarks quantify single design
+// choices: sampler deduplication, the tuner's acquisition function,
+// sampling/training overlap and the search strategies.
 package argo_test
 
 import (
@@ -183,7 +183,7 @@ func BenchmarkAblationDedup(b *testing.B) {
 }
 
 // BenchmarkAblationAcquisition compares Expected Improvement against
-// random acquisition with the same budget (DESIGN.md §7).
+// random acquisition with the same budget.
 func BenchmarkAblationAcquisition(b *testing.B) {
 	ds, err := graph.Spec("ogbn-products")
 	if err != nil {

@@ -39,8 +39,8 @@
 // becomes one entry in BENCH_argo.json, so the strategy comparison runs
 // across scenario-diverse workloads.
 //
-// See DESIGN.md §6 for the experiment ↔ paper mapping and EXPERIMENTS.md
-// for the recorded paper-vs-measured comparison.
+// The experiment ↔ paper mapping is experiments.Registry
+// (internal/experiments/setups.go).
 package main
 
 import (

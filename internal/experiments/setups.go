@@ -1,5 +1,5 @@
 // Package experiments regenerates every table and figure from the paper's
-// evaluation section (the per-experiment index lives in DESIGN.md §6).
+// evaluation section (Registry is the per-experiment index).
 // Each experiment writes a human-readable rendition to an io.Writer and
 // returns its structured data so tests can assert the expected shapes.
 package experiments

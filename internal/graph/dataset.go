@@ -28,8 +28,8 @@ type DatasetSpec struct {
 	// Scaled-instance parameters: the synthetic graph the real training
 	// stack materialises. Degree distribution and feature dimensionality
 	// mirror the original; sizes are reduced so the full test suite runs
-	// on one core in seconds. The scale factor is documented per dataset
-	// in DESIGN.md §2.
+	// on one core in seconds. Each dataset's scale factor is its Scaled*
+	// fields against its Paper stats.
 	ScaledNodes   int
 	ScaledEdges   int64
 	ScaledF0      int

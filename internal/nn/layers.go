@@ -52,10 +52,11 @@ func reluRowInPlace(row []float32) {
 	}
 }
 
-// denseRowMulAdd computes out = row·W + bias with MatMul's exact ikj
-// reduction order (zero the output, skip zero inputs, stream W rows),
-// followed by AddRowVector's bias add — the fused per-row equivalent of
-// the unfused MatMul+AddRowVector pair.
+// denseRowMulAdd computes out = row·W + bias under the contract of the
+// tensor.MatMul kernels (+0 start, ascending p, zero a-terms skipped, no
+// FMA), followed by AddRowVector's bias add — the fused per-row
+// equivalent of the unfused MatMul+AddRowVector pair, which keeps
+// Infer == Forward to the bit.
 func denseRowMulAdd(out, row []float32, w *tensor.Matrix, bias []float32) {
 	for j := range out {
 		out[j] = 0
@@ -67,7 +68,7 @@ func denseRowMulAdd(out, row []float32, w *tensor.Matrix, bias []float32) {
 		}
 		wr := w.Data[p*n : (p+1)*n]
 		for j, wv := range wr {
-			out[j] += av * wv
+			out[j] += float32(av * wv)
 		}
 	}
 	for j, b := range bias {

@@ -5,36 +5,72 @@ import (
 	"testing"
 )
 
-func benchMatrices(b *testing.B, m, k, n int) (*Matrix, *Matrix, *Matrix) {
-	b.Helper()
-	rng := rand.New(rand.NewSource(1))
-	return randomMatrix(rng, m, k), randomMatrix(rng, k, n), New(m, n)
+// gemmShapes are the dense layer shapes of the train-arxiv SAGE model
+// ([64,32,32,10], fanouts 15/10/5, batch 128): rows is the layer's
+// input-row count, k its concatenated input width (2·in), n its output
+// width. Layer 1's input is a ReLU output, so about half its entries are
+// zero; the upstream gradient dZ of both hidden layers passes through
+// ReLUBackward and is about half zero too.
+var gemmShapes = []struct {
+	name       string
+	rows, k, n int
+	reluInput  bool
+}{
+	{"l0", 1536, 128, 32, false},
+	{"l1", 384, 64, 32, true},
 }
 
-func BenchmarkMatMul128(b *testing.B) {
-	a, x, dst := benchMatrices(b, 128, 128, 128)
-	pool := NewPool(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		MatMul(pool, dst, a, x)
+// benchInput returns a rows×cols normal matrix, ReLU-ed when relu is set.
+func benchInput(rng *rand.Rand, rows, cols int, relu bool) *Matrix {
+	m := randomMatrix(rng, rows, cols)
+	if relu {
+		ReLU(m, m)
+	}
+	return m
+}
+
+// BenchmarkMatMul times the forward product X·W (rows×k · k×n).
+func BenchmarkMatMul(b *testing.B) {
+	for _, s := range gemmShapes {
+		b.Run(s.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			x, w := benchInput(rng, s.rows, s.k, s.reluInput), randomMatrix(rng, s.k, s.n)
+			dst, pool := New(s.rows, s.n), NewPool(1)
+			b.ReportAllocs()
+			for b.Loop() {
+				MatMul(pool, dst, x, w)
+			}
+		})
 	}
 }
 
-func BenchmarkMatMul128Parallel4(b *testing.B) {
-	a, x, dst := benchMatrices(b, 128, 128, 128)
-	pool := NewPool(4)
-	for i := 0; i < b.N; i++ {
-		MatMul(pool, dst, a, x)
+// BenchmarkMatMulBT times the input gradient dZ·Wᵀ (rows×n · (k×n)ᵀ).
+func BenchmarkMatMulBT(b *testing.B) {
+	for _, s := range gemmShapes {
+		b.Run(s.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(2))
+			dz, w := benchInput(rng, s.rows, s.n, true), randomMatrix(rng, s.k, s.n)
+			dst, pool := New(s.rows, s.k), NewPool(1)
+			b.ReportAllocs()
+			for b.Loop() {
+				MatMulBT(pool, dst, dz, w)
+			}
+		})
 	}
 }
 
-func BenchmarkMatMulBT128(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	a, x := randomMatrix(rng, 128, 128), randomMatrix(rng, 128, 128)
-	dst := New(128, 128)
-	pool := NewPool(1)
-	for i := 0; i < b.N; i++ {
-		MatMulBT(pool, dst, a, x)
+// BenchmarkMatMulAT times the weight gradient Xᵀ·dZ ((rows×k)ᵀ · rows×n).
+func BenchmarkMatMulAT(b *testing.B) {
+	for _, s := range gemmShapes {
+		b.Run(s.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(3))
+			x, dz := benchInput(rng, s.rows, s.k, s.reluInput), benchInput(rng, s.rows, s.n, true)
+			dst, pool := New(s.k, s.n), NewPool(1)
+			b.ReportAllocs()
+			for b.Loop() {
+				MatMulAT(pool, dst, x, dz)
+			}
+		})
 	}
 }
 

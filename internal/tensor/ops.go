@@ -8,55 +8,38 @@ import (
 // MatMul computes dst = a·b, parallelised over row blocks of a on pool
 // with work-stealing dispatch (row results are per-row, so stealing
 // never reorders a reduction). Shapes: a is m×k, b is k×n, dst is m×n.
-// dst must not alias a or b.
+// dst must not alias a or b. MatMul, MatMulBT and MatMulAT follow the
+// kernel contract in gemm.go, so results depend neither on the worker
+// count nor on the architecture.
 func MatMul(pool *Pool, dst, a, b *Matrix) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch (%dx%d)·(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	k, n := a.Cols, b.Cols
-	pool.ParallelWeighted(a.Rows, nil, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ar := a.Data[i*k : (i+1)*k]
-			dr := dst.Data[i*n : (i+1)*n]
-			for j := range dr {
-				dr[j] = 0
-			}
-			// ikj loop order: stream b rows, accumulate into dst row.
-			for p, av := range ar {
-				if av == 0 {
-					continue
-				}
-				br := b.Data[p*n : (p+1)*n]
-				for j, bv := range br {
-					dr[j] += av * bv
-				}
-			}
-		}
-	})
+	k := a.Cols
+	gemmJobs.Get().(*gemmJob).do(pool, a.Rows, dst.Data, a.Data, k, 1, b.Data, k, b.Cols)
 }
 
 // MatMulBT computes dst = a·bᵀ. Shapes: a is m×k, b is n×k, dst is m×n.
+// bᵀ is packed once per call into pooled scratch, then rows run as in
+// MatMul.
 func MatMulBT(pool *Pool, dst, a, b *Matrix) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulBT shape mismatch (%dx%d)·(%dx%d)T->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
 	k, n := a.Cols, b.Rows
-	pool.ParallelWeighted(a.Rows, nil, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ar := a.Data[i*k : (i+1)*k]
-			dr := dst.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				br := b.Data[j*k : (j+1)*k]
-				var sum float32
-				for p, av := range ar {
-					sum += av * br[p]
-				}
-				dr[j] = sum
-			}
+	g := gemmJobs.Get().(*gemmJob)
+	if cap(g.packed) < k*n {
+		g.packed = make([]float32, k*n)
+	}
+	bt := g.packed[:k*n]
+	for j := 0; j < n; j++ {
+		for p, v := range b.Data[j*k : (j+1)*k] {
+			bt[p*n+j] = v
 		}
-	})
+	}
+	g.do(pool, a.Rows, dst.Data, a.Data, k, 1, bt, k, n)
 }
 
 // MatMulAT computes dst = aᵀ·b. Shapes: a is k×m, b is k×n, dst is m×n.
@@ -67,25 +50,8 @@ func MatMulAT(pool *Pool, dst, a, b *Matrix) {
 		panic(fmt.Sprintf("tensor: MatMulAT shape mismatch (%dx%d)T·(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	m, n := a.Cols, b.Cols
-	pool.ParallelWeighted(m, nil, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dr := dst.Data[i*n : (i+1)*n]
-			for j := range dr {
-				dr[j] = 0
-			}
-			for p := 0; p < a.Rows; p++ {
-				av := a.Data[p*m+i]
-				if av == 0 {
-					continue
-				}
-				br := b.Data[p*n : (p+1)*n]
-				for j, bv := range br {
-					dr[j] += av * bv
-				}
-			}
-		}
-	})
+	m := a.Cols
+	gemmJobs.Get().(*gemmJob).do(pool, m, dst.Data, a.Data, 1, m, b.Data, a.Rows, b.Cols)
 }
 
 // Add computes dst += src elementwise. Shapes must match.

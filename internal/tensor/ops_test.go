@@ -306,3 +306,168 @@ func TestArgMaxRowsDegenerateShapes(t *testing.T) {
 		}
 	}
 }
+
+// The reference loops below are the row kernels MatMul, MatMulBT and
+// MatMulAT ran before the strip kernel, serial and otherwise verbatim
+// except that each product is wrapped in float32(...). That conversion
+// changes no instruction on amd64 below GOAMD64=v3, and keeps the
+// oracle free of fused multiply-adds on targets where Go would fuse
+// `x += a*b`.
+func refMatMul(dst, a, b *Matrix) {
+	k, n := a.Cols, b.Cols
+	for i := 0; i < a.Rows; i++ {
+		ar := a.Data[i*k : (i+1)*k]
+		dr := dst.Data[i*n : (i+1)*n]
+		for j := range dr {
+			dr[j] = 0
+		}
+		for p, av := range ar {
+			if av == 0 {
+				continue
+			}
+			br := b.Data[p*n : (p+1)*n]
+			for j, bv := range br {
+				dr[j] += float32(av * bv)
+			}
+		}
+	}
+}
+
+func refMatMulBT(dst, a, b *Matrix) {
+	k, n := a.Cols, b.Rows
+	for i := 0; i < a.Rows; i++ {
+		ar := a.Data[i*k : (i+1)*k]
+		dr := dst.Data[i*n : (i+1)*n]
+		for j := 0; j < n; j++ {
+			br := b.Data[j*k : (j+1)*k]
+			var sum float32
+			for p, av := range ar {
+				sum += float32(av * br[p])
+			}
+			dr[j] = sum
+		}
+	}
+}
+
+func refMatMulAT(dst, a, b *Matrix) {
+	m, n := a.Cols, b.Cols
+	for i := 0; i < m; i++ {
+		dr := dst.Data[i*n : (i+1)*n]
+		for j := range dr {
+			dr[j] = 0
+		}
+		for p := 0; p < a.Rows; p++ {
+			av := a.Data[p*m+i]
+			if av == 0 {
+				continue
+			}
+			br := b.Data[p*n : (p+1)*n]
+			for j, bv := range br {
+				dr[j] += float32(av * bv)
+			}
+		}
+	}
+}
+
+// contractMatrix fills a rows×cols matrix with the values the kernel
+// contract must get right: normals, ReLU zeros (+0), -0 and subnormals
+// of either sign.
+func contractMatrix(rng *rand.Rand, rows, cols int) *Matrix {
+	m := New(rows, cols)
+	for i := range m.Data {
+		switch rng.Intn(8) {
+		case 0, 1:
+		case 2:
+			m.Data[i] = float32(math.Copysign(0, -1))
+		case 3:
+			m.Data[i] = math.Float32frombits(uint32(1+rng.Intn(1<<23-1)) | uint32(rng.Intn(2))<<31)
+		default:
+			m.Data[i] = float32(rng.NormFloat64())
+		}
+	}
+	return m
+}
+
+func sameBits(got, want *Matrix) int {
+	for i := range want.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestMatMulBitExact checks every kernel bit for bit against its
+// reference loop on ragged shapes (strips plus a column tail), empty
+// dimensions, the train-arxiv layer shapes, and pools of 1 to 4 workers.
+func TestMatMulBitExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	type shape struct{ m, k, n int }
+	shapes := []shape{{1536, 128, 32}, {384, 64, 32}, {0, 5, 17}, {4, 0, 17}, {4, 5, 0}}
+	for len(shapes) < 150 {
+		shapes = append(shapes, shape{1 + rng.Intn(70), 1 + rng.Intn(70), 1 + rng.Intn(70)})
+	}
+	for si, s := range shapes {
+		pool := NewPool(1 + si%4)
+		a, b := contractMatrix(rng, s.m, s.k), contractMatrix(rng, s.k, s.n)
+		bt, at := transpose(b), transpose(a)
+		for _, c := range []struct {
+			name      string
+			got, want func(dst *Matrix)
+		}{
+			{"MatMul", func(d *Matrix) { MatMul(pool, d, a, b) }, func(d *Matrix) { refMatMul(d, a, b) }},
+			{"MatMulBT", func(d *Matrix) { MatMulBT(pool, d, a, bt) }, func(d *Matrix) { refMatMulBT(d, a, bt) }},
+			{"MatMulAT", func(d *Matrix) { MatMulAT(pool, d, at, b) }, func(d *Matrix) { refMatMulAT(d, at, b) }},
+		} {
+			got, want := New(s.m, s.n), New(s.m, s.n)
+			got.Fill(float32(math.NaN())) // every element must be written
+			c.got(got)
+			c.want(want)
+			if i := sameBits(got, want); i >= 0 {
+				t.Fatalf("%s %dx%dx%d workers=%d: element %d is %x, reference %x", c.name, s.m, s.k, s.n,
+					pool.Workers(), i, math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
+			}
+		}
+	}
+}
+
+// TestGemmStripGoBitExact runs the portable strip over whole rows, so on
+// amd64 it is checked at widths the assembly strip normally takes.
+func TestGemmStripGoBitExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 60; trial++ {
+		m, k, n := 1+rng.Intn(20), 1+rng.Intn(70), 1+rng.Intn(70)
+		a, b := contractMatrix(rng, m, k), contractMatrix(rng, k, n)
+		got, want := New(m, n), New(m, n)
+		for i := 0; i < m; i++ {
+			gemmStripGo(got.Row(i), a.Row(i), 1, b.Data, n, k)
+		}
+		refMatMul(want, a, b)
+		if i := sameBits(got, want); i >= 0 {
+			t.Fatalf("%dx%dx%d: element %d is %x, reference %x", m, k, n, i,
+				math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
+		}
+	}
+}
+
+// TestMatMulZeroSkip pins the one place the contract shows outside
+// finite inputs: a ±0 a-term is skipped even against an Inf or NaN in b,
+// while a NaN a-term is not. Columns 0-15 run in the strip kernel and
+// 16 in the column tail.
+func TestMatMulZeroSkip(t *testing.T) {
+	const n = 17
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	b := New(2, n)
+	for j := 0; j < n; j++ {
+		b.Set(0, j, inf)
+		b.Set(1, j, 2)
+	}
+	a := FromSlice(3, 2, []float32{0, 1, float32(math.Copysign(0, -1)), 1, nan, 1})
+	dst := New(3, n)
+	MatMul(NewPool(1), dst, a, b)
+	for j := 0; j < n; j++ {
+		if dst.At(0, j) != 2 || dst.At(1, j) != 2 || !math.IsNaN(float64(dst.At(2, j))) {
+			t.Fatalf("column %d: got %v %v %v, want 2 2 NaN", j, dst.At(0, j), dst.At(1, j), dst.At(2, j))
+		}
+	}
+}
