@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 )
 
@@ -194,19 +195,33 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
+// frameChunk bounds readFrame's allocation ahead of the bytes that have
+// actually arrived: frames up to this size (every halo message in
+// practice) are read into one exact buffer, larger ones grow by at most
+// this much per read, so a peer whose header claims more than it sends
+// costs at most what it sent plus one chunk, not maxFrame.
+const frameChunk = 1 << 20
+
 // readFrame reads one length-prefixed frame.
 func readFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, fmt.Errorf("ddp: frame length %d exceeds limit", n)
+	claim := binary.LittleEndian.Uint32(hdr[:])
+	if claim > maxFrame {
+		return nil, fmt.Errorf("ddp: frame length %d exceeds limit", claim)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
+	n := int(claim)
+	payload := make([]byte, 0, min(n, frameChunk))
+	for len(payload) < n {
+		k := min(n-len(payload), frameChunk)
+		payload = slices.Grow(payload, k)
+		off := len(payload)
+		payload = payload[:off+k]
+		if _, err := io.ReadFull(r, payload[off:]); err != nil {
+			return nil, err
+		}
 	}
 	return payload, nil
 }

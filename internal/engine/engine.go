@@ -437,25 +437,28 @@ func (rep *replica) step(bd batchData) {
 	}
 	bufs := rep.model.Buffers()
 	loss, dLogits := nn.SoftmaxCrossEntropyPooled(bufs, logits, labels)
-	dX := rep.model.Backward(rep.trainPool, dLogits)
 	// Local regime: hand the input-feature gradient to the router. All
 	// input ids are passed; the local-regime source accumulates the
 	// rows across the epoch and flushes them to their owners in one
 	// batched exchange at epoch end, so boundary rows' credit reaches
 	// the replica that owns them at a per-epoch (not per-batch) wire
-	// cost.
+	// cost. Without a router nothing reads that gradient, so the step
+	// computes parameter gradients only (BackwardParams).
 	if rep.router != nil {
-		if err := rep.router.ScatterGradients(mb.InputNodes(), dX); err != nil {
+		dX := rep.model.Backward(rep.trainPool, dLogits)
+		err := rep.router.ScatterGradients(mb.InputNodes(), dX)
+		bufs.Put(dX)
+		if err != nil {
 			rep.lastErr = err
 			return
 		}
+	} else {
+		rep.model.BackwardParams(rep.trainPool, dLogits)
 	}
-	// The input gradient is otherwise unused and the gathered features
-	// and logit gradient are consumed; recycling all three through the
-	// replica's buffer pool keeps the steady-state step free of
-	// per-batch matrix allocations (DataSource matrices are
+	// The gathered features and logit gradient are consumed; recycling
+	// them through the replica's buffer pool keeps the steady-state step
+	// free of per-batch matrix allocations (DataSource matrices are
 	// caller-owned by contract).
-	bufs.Put(dX)
 	bufs.Put(dLogits)
 	bufs.Put(x0)
 	rep.lastLoss = loss

@@ -1,17 +1,27 @@
 package engine
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"argo/internal/ddp"
 	"argo/internal/graph"
 	"argo/internal/sampler"
+	"argo/internal/tensor"
 )
 
 // runLocalRegime trains epochs under the partition-local regime over
 // the given transport and returns the per-epoch results plus the
 // exchange totals.
 func runLocalRegime(t *testing.T, ds *graph.Dataset, transport string, epochs int) ([]EpochResult, ddp.HaloStats) {
+	t.Helper()
+	return runLocalRegimeHook(t, ds, transport, epochs, nil)
+}
+
+// runLocalRegimeHook is runLocalRegime with hook (when non-nil) applied
+// to the engine before its first epoch.
+func runLocalRegimeHook(t *testing.T, ds *graph.Dataset, transport string, epochs int, hook func(*Engine)) ([]EpochResult, ddp.HaloStats) {
 	t.Helper()
 	const numProcs = 2
 	ss, err := graph.ShardSetFromDataset(ds, graph.ShardOptions{K: 3})
@@ -41,6 +51,9 @@ func runLocalRegime(t *testing.T, ds *graph.Dataset, transport string, epochs in
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if hook != nil {
+		hook(e)
 	}
 	var out []EpochResult
 	for ep := 0; ep < epochs; ep++ {
@@ -183,5 +196,76 @@ func TestLocalRegimeCutsRemoteFeatureTraffic(t *testing.T) {
 	}
 	if localStats.RemoteRows == 0 {
 		t.Fatal("local regime fetched no remote rows at all (halo never touched — suspicious for K=3 on 2 replicas)")
+	}
+}
+
+// shapeCheckRouter forwards to the replica's real router after checking
+// that every batch hands it a full input-feature gradient: one row per
+// input node, featDim columns.
+type shapeCheckRouter struct {
+	inner   GradientRouter
+	featDim int
+	calls   int
+	err     error
+}
+
+func (r *shapeCheckRouter) ScatterGradients(ids []graph.NodeID, grads *tensor.Matrix) error {
+	r.calls++
+	if r.err == nil {
+		switch {
+		case len(ids) == 0:
+			r.err = fmt.Errorf("call %d: no input ids", r.calls)
+		case grads == nil:
+			r.err = fmt.Errorf("call %d: nil input gradient", r.calls)
+		case grads.Rows != len(ids) || grads.Cols != r.featDim:
+			r.err = fmt.Errorf("call %d: input gradient %dx%d for %d ids, want %dx%d",
+				r.calls, grads.Rows, grads.Cols, len(ids), len(ids), r.featDim)
+		}
+	}
+	return r.inner.ScatterGradients(ids, grads)
+}
+
+// TestLocalRegimeRoutesFullInputGradient: the exact regime's step skips
+// the layer-0 input gradient (nn.GNN.BackwardParams), but the local
+// regime must still compute it and hand it to its router: numSrc₀×F0
+// for every batch, with the reverse-gradient digest unchanged. The
+// digest is pinned to the values the full-backward step produced before
+// the params-only path existed; the pin is exact on amd64, where every
+// kernel is FMA-free, and other targets may fuse the scatter's
+// multiply-adds.
+func TestLocalRegimeRoutesFullInputGradient(t *testing.T) {
+	ds := shardedTestDataset(t)
+	var routers []*shapeCheckRouter
+	res, _ := runLocalRegimeHook(t, ds, "inproc", 2, func(e *Engine) {
+		for _, rep := range e.replicas {
+			r := &shapeCheckRouter{inner: rep.router, featDim: ds.Features.Cols}
+			rep.router = r
+			routers = append(routers, r)
+		}
+	})
+	for i, r := range routers {
+		if r.err != nil {
+			t.Fatalf("replica %d router: %v", i, r.err)
+		}
+		if r.calls == 0 {
+			t.Fatalf("replica %d router never received a gradient", i)
+		}
+	}
+	if runtime.GOARCH != "amd64" {
+		return
+	}
+	want := []struct {
+		nodes  int64
+		absSum float64
+		loss   float64
+	}{
+		{234, 7.203885407094276, 1.1114989606108405},
+		{233, 6.6330317824280485, 0.9477427315136374},
+	}
+	for ep, w := range want {
+		if res[ep].GradNodes != w.nodes || res[ep].GradAbsSum != w.absSum || res[ep].MeanLoss != w.loss {
+			t.Fatalf("epoch %d: (GradNodes, GradAbsSum, MeanLoss) = (%d, %v, %v), want (%d, %v, %v)",
+				ep, res[ep].GradNodes, res[ep].GradAbsSum, res[ep].MeanLoss, w.nodes, w.absSum, w.loss)
+		}
 	}
 }

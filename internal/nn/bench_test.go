@@ -1,9 +1,11 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"argo/internal/datasets"
 	"argo/internal/graph"
 	"argo/internal/sampler"
 	"argo/internal/tensor"
@@ -105,10 +107,11 @@ func BenchmarkSAGEInferFused8(b *testing.B) {
 	}
 }
 
-// BenchmarkTrainStepPooled1 is the end-to-end steady-state gate: gather,
-// forward, loss, backward, recycle — allocs/op must stay a small
-// constant.
-func BenchmarkTrainStepPooled1(b *testing.B) {
+// benchTrainStep is the end-to-end steady-state gate: gather, forward,
+// loss, backward, recycle — allocs/op must stay a small constant.
+// fullBackward selects Backward (input gradient built and recycled, the
+// local regime's step) over BackwardParams (the exact regime's step).
+func benchTrainStep(b *testing.B, fullBackward bool) {
 	g, labels := powerLawGraph(b, 20000, 200000)
 	feats := randFeatures(g.NumNodes, 64, 7)
 	targets := make([]graph.NodeID, 1024)
@@ -128,8 +131,11 @@ func BenchmarkTrainStepPooled1(b *testing.B) {
 		x0 := GatherPooled(bufs, feats, mb.InputNodes())
 		logits := m.Forward(pool, mb, x0)
 		_, dLogits := SoftmaxCrossEntropyPooled(bufs, logits, batchLabels)
-		dX := m.Backward(pool, dLogits)
-		bufs.Put(dX)
+		if fullBackward {
+			bufs.Put(m.Backward(pool, dLogits))
+		} else {
+			m.BackwardParams(pool, dLogits)
+		}
 		bufs.Put(dLogits)
 		bufs.Put(x0)
 		m.ZeroGrad()
@@ -139,5 +145,43 @@ func BenchmarkTrainStepPooled1(b *testing.B) {
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		step()
+	}
+}
+
+func BenchmarkTrainStepPooled1(b *testing.B)             { benchTrainStep(b, false) }
+func BenchmarkTrainStepPooled1FullBackward(b *testing.B) { benchTrainStep(b, true) }
+
+// BenchmarkBackwardL0 measures layer 0's backward on the arxiv-sim
+// training shape (SAGE 64→32, fanouts 15,10,5, 128 targets): the full
+// pass that also builds the input-feature gradient, against the
+// params-only pass the exact-regime step runs.
+func BenchmarkBackwardL0(b *testing.B) {
+	ds, err := datasets.Build("arxiv-sim", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mb := sampler.NewNeighbor(ds.Graph, []int{15, 10, 5}).Sample(rand.New(rand.NewSource(1)), ds.TrainIdx[:128])
+	x0 := Gather(ds.Features, mb.InputNodes())
+	adj := BlockAdj{B: &mb.Blocks[0]}
+	l := NewSAGELayer(rand.New(rand.NewSource(1)), ds.Features.Cols, 32, true)
+	l.setBufPool(tensor.NewBufPool())
+	for _, workers := range []int{1, 2} {
+		pool := tensor.NewPool(workers)
+		dOut := randFeatures(adj.NumDst(), 32, 3)
+		l.Forward(pool, adj, x0)
+		for _, wantDX := range []bool{true, false} {
+			name := "params"
+			if wantDX {
+				name = "full"
+			}
+			b.Run(fmt.Sprintf("%s/w%d", name, workers), func(b *testing.B) {
+				l.bufs.Put(l.backward(pool, adj, dOut, wantDX)) // warm the buffer pool
+				b.ReportAllocs()
+				b.ResetTimer()
+				for n := 0; n < b.N; n++ {
+					l.bufs.Put(l.backward(pool, adj, dOut, wantDX))
+				}
+			})
+		}
 	}
 }

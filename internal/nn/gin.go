@@ -107,29 +107,21 @@ func (l *GINLayer) Infer(pool *tensor.Pool, adj Adj, x *tensor.Matrix) *tensor.M
 
 // Backward implements Layer.
 func (l *GINLayer) Backward(pool *tensor.Pool, adj Adj, dOut *tensor.Matrix) *tensor.Matrix {
+	return l.backward(pool, adj, dOut, true)
+}
+
+// backward accumulates the parameter gradients and, when wantDX, returns
+// the input gradient (nil otherwise).
+func (l *GINLayer) backward(pool *tensor.Pool, adj Adj, dOut *tensor.Matrix, wantDX bool) *tensor.Matrix {
+	dZ := paramBackward(pool, l.bufs, l.Weight, l.Bias, l.Relu, l.agg, l.out, dOut, &l.db)
+	if !wantDX {
+		releaseDZ(l.bufs, dZ, dOut)
+		return nil
+	}
 	numDst := adj.NumDst()
-	dZ := dOut
-	if l.Relu {
-		dZ = l.bufs.Get(dOut.Rows, dOut.Cols)
-		tensor.ReLUBackward(dZ, dOut, l.out)
-	}
-	dW := l.bufs.Get(l.Weight.W.Rows, l.Weight.W.Cols)
-	tensor.MatMulAT(pool, dW, l.agg, dZ)
-	tensor.Add(l.Weight.Grad, dW)
-	l.bufs.Put(dW)
-	if cap(l.db) < l.OutDim {
-		l.db = make([]float32, l.OutDim)
-	}
-	db := l.db[:l.OutDim]
-	tensor.ColSum(db, dZ)
-	for k, v := range db {
-		l.Bias.Grad.Data[k] += v
-	}
 	dAgg := l.bufs.Get(numDst, l.InDim)
 	tensor.MatMulBT(pool, dAgg, dZ, l.Weight.W)
-	if l.Relu {
-		l.bufs.Put(dZ)
-	}
+	releaseDZ(l.bufs, dZ, dOut)
 	dX := l.bufs.Get(adj.NumSrc(), l.InDim)
 	selfW := 1 + l.Epsilon
 	for i := 0; i < numDst; i++ {

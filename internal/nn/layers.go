@@ -76,6 +76,40 @@ func denseRowMulAdd(out, row []float32, w *tensor.Matrix, bias []float32) {
 	}
 }
 
+// paramBackward is the parameter half of every layer's backward pass.
+// For out = act(in·W + b) it masks dOut by the ReLU (when relu) into
+// dZ, then accumulates W.Grad += inᵀ·dZ and b.Grad += colsum(dZ), using
+// *db as the bias scratch. It returns dZ for the input-gradient half;
+// releaseDZ recycles it.
+func paramBackward(pool *tensor.Pool, bufs *tensor.BufPool, w, b *Param, relu bool, in, out, dOut *tensor.Matrix, db *[]float32) *tensor.Matrix {
+	dZ := dOut
+	if relu {
+		dZ = bufs.Get(dOut.Rows, dOut.Cols)
+		tensor.ReLUBackward(dZ, dOut, out)
+	}
+	dW := bufs.Get(w.W.Rows, w.W.Cols)
+	tensor.MatMulAT(pool, dW, in, dZ)
+	tensor.Add(w.Grad, dW)
+	bufs.Put(dW)
+	if cap(*db) < dZ.Cols {
+		*db = make([]float32, dZ.Cols)
+	}
+	sum := (*db)[:dZ.Cols]
+	tensor.ColSum(sum, dZ)
+	for k, v := range sum {
+		b.Grad.Data[k] += v
+	}
+	return dZ
+}
+
+// releaseDZ returns paramBackward's dZ to bufs unless it is the
+// caller's dOut.
+func releaseDZ(bufs *tensor.BufPool, dZ, dOut *tensor.Matrix) {
+	if dZ != dOut {
+		bufs.Put(dZ)
+	}
+}
+
 // SAGELayer implements GraphSAGE (paper Eq. 2 and 3):
 //
 //	a_v = h_v ∥ Mean({h_u : u ∈ N(v)})
@@ -191,31 +225,22 @@ func (l *SAGELayer) Infer(pool *tensor.Pool, adj Adj, x *tensor.Matrix) *tensor.
 
 // Backward implements Layer.
 func (l *SAGELayer) Backward(pool *tensor.Pool, adj Adj, dOut *tensor.Matrix) *tensor.Matrix {
-	numDst := adj.NumDst()
-	dZ := dOut
-	if l.Relu {
-		dZ = l.bufs.Get(dOut.Rows, dOut.Cols)
-		tensor.ReLUBackward(dZ, dOut, l.out)
-	}
-	// Parameter gradients.
-	dW := l.bufs.Get(l.Weight.W.Rows, l.Weight.W.Cols)
-	tensor.MatMulAT(pool, dW, l.concat, dZ)
-	tensor.Add(l.Weight.Grad, dW)
-	l.bufs.Put(dW)
-	if cap(l.db) < l.OutDim {
-		l.db = make([]float32, l.OutDim)
-	}
-	db := l.db[:l.OutDim]
-	tensor.ColSum(db, dZ)
-	for k, v := range db {
-		l.Bias.Grad.Data[k] += v
+	return l.backward(pool, adj, dOut, true)
+}
+
+// backward accumulates the parameter gradients and, when wantDX, returns
+// the input gradient (nil otherwise).
+func (l *SAGELayer) backward(pool *tensor.Pool, adj Adj, dOut *tensor.Matrix, wantDX bool) *tensor.Matrix {
+	dZ := paramBackward(pool, l.bufs, l.Weight, l.Bias, l.Relu, l.concat, l.out, dOut, &l.db)
+	if !wantDX {
+		releaseDZ(l.bufs, dZ, dOut)
+		return nil
 	}
 	// Input gradient through the concat.
+	numDst := adj.NumDst()
 	dConcat := l.bufs.Get(numDst, 2*l.InDim)
 	tensor.MatMulBT(pool, dConcat, dZ, l.Weight.W)
-	if l.Relu {
-		l.bufs.Put(dZ)
-	}
+	releaseDZ(l.bufs, dZ, dOut)
 	dX := l.bufs.Get(adj.NumSrc(), l.InDim)
 	in := l.InDim
 	// Self half maps straight onto the dst prefix; the neighbour half
@@ -370,29 +395,21 @@ func (l *GCNLayer) Infer(pool *tensor.Pool, adj Adj, x *tensor.Matrix) *tensor.M
 
 // Backward implements Layer.
 func (l *GCNLayer) Backward(pool *tensor.Pool, adj Adj, dOut *tensor.Matrix) *tensor.Matrix {
+	return l.backward(pool, adj, dOut, true)
+}
+
+// backward accumulates the parameter gradients and, when wantDX, returns
+// the input gradient (nil otherwise).
+func (l *GCNLayer) backward(pool *tensor.Pool, adj Adj, dOut *tensor.Matrix, wantDX bool) *tensor.Matrix {
+	dZ := paramBackward(pool, l.bufs, l.Weight, l.Bias, l.Relu, l.agg, l.out, dOut, &l.db)
+	if !wantDX {
+		releaseDZ(l.bufs, dZ, dOut)
+		return nil
+	}
 	numDst := adj.NumDst()
-	dZ := dOut
-	if l.Relu {
-		dZ = l.bufs.Get(dOut.Rows, dOut.Cols)
-		tensor.ReLUBackward(dZ, dOut, l.out)
-	}
-	dW := l.bufs.Get(l.Weight.W.Rows, l.Weight.W.Cols)
-	tensor.MatMulAT(pool, dW, l.agg, dZ)
-	tensor.Add(l.Weight.Grad, dW)
-	l.bufs.Put(dW)
-	if cap(l.db) < l.OutDim {
-		l.db = make([]float32, l.OutDim)
-	}
-	db := l.db[:l.OutDim]
-	tensor.ColSum(db, dZ)
-	for k, v := range db {
-		l.Bias.Grad.Data[k] += v
-	}
 	dAgg := l.bufs.Get(numDst, l.InDim)
 	tensor.MatMulBT(pool, dAgg, dZ, l.Weight.W)
-	if l.Relu {
-		l.bufs.Put(dZ)
-	}
+	releaseDZ(l.bufs, dZ, dOut)
 	dX := l.bufs.Get(adj.NumSrc(), l.InDim)
 	for i := 0; i < numDst; i++ {
 		ci := l.InvSqrtDeg[adj.DstGlobal(i)]

@@ -194,13 +194,32 @@ func (m *GNN) InferReuse(pool *tensor.Pool, mb *sampler.MiniBatch, x0 *tensor.Ma
 	return x
 }
 
+// paramBackwarder is the seam BackwardParams uses to skip a layer's
+// input gradient: every built-in layer implements it.
+type paramBackwarder interface {
+	backward(pool *tensor.Pool, adj Adj, dOut *tensor.Matrix, wantDX bool) *tensor.Matrix
+}
+
 // Backward propagates dLogits (gradient w.r.t. Forward's return value)
 // through the model, accumulating parameter gradients. It returns the
-// gradient w.r.t. the gathered input features (rarely needed; exposed for
-// testing). Intermediate layer gradients are recycled through the
-// model's buffer pool; the returned matrix is the caller's to keep (or
-// Put back via Buffers).
+// gradient w.r.t. the gathered input features, which only the local
+// regime's gradient router consumes; training steps that discard it call
+// BackwardParams instead. Intermediate layer gradients are recycled
+// through the model's buffer pool; the returned matrix is the caller's
+// to keep (or Put back via Buffers).
 func (m *GNN) Backward(pool *tensor.Pool, dLogits *tensor.Matrix) *tensor.Matrix {
+	return m.backward(pool, dLogits, true)
+}
+
+// BackwardParams accumulates exactly the parameter gradients Backward
+// does, bit for bit, but stops at layer 0's parameters: the input-feature
+// gradient (layer 0's transposed matmul, its neighbour scatter and both
+// buffers) is never computed.
+func (m *GNN) BackwardParams(pool *tensor.Pool, dLogits *tensor.Matrix) {
+	m.backward(pool, dLogits, false)
+}
+
+func (m *GNN) backward(pool *tensor.Pool, dLogits *tensor.Matrix, wantDX bool) *tensor.Matrix {
 	mb := m.lastBatch
 	if mb == nil {
 		panic("nn: Backward before Forward")
@@ -216,11 +235,21 @@ func (m *GNN) Backward(pool *tensor.Pool, dLogits *tensor.Matrix) *tensor.Matrix
 		adjFor = func(int) Adj { return adj }
 	}
 	for li := len(m.Layers) - 1; li >= 0; li-- {
-		next := m.Layers[li].Backward(pool, adjFor(li), grad)
+		l := m.Layers[li]
+		var next *tensor.Matrix
+		if pb, ok := l.(paramBackwarder); ok && li == 0 && !wantDX {
+			pb.backward(pool, adjFor(li), grad, false)
+		} else {
+			next = l.Backward(pool, adjFor(li), grad)
+		}
 		if grad != dLogits {
 			m.bufs.Put(grad)
 		}
 		grad = next
+	}
+	if !wantDX {
+		m.bufs.Put(grad) // a layer without the seam built dX anyway
+		return nil
 	}
 	return grad
 }
